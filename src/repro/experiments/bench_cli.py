@@ -56,10 +56,6 @@ EXTRA_BENCHES: dict[str, Callable[..., dict[str, float]]] = {
     ESTIMATION_BENCH_ID: run_estimation_bench,
 }
 
-#: Backwards-compatible alias (same dict object) from when S1 was the only
-#: non-registry bench.
-SERVING_BENCHES = EXTRA_BENCHES
-
 
 def _git_sha() -> Optional[str]:
     """The current commit sha, or ``None`` outside a git checkout."""

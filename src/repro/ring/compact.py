@@ -13,7 +13,7 @@ bounded memory (tens to a few hundred bytes per peer, reported by
 The compact backend models the *stabilized* ring: pointers are exact by
 construction (the state :meth:`RingNetwork.rebuild_overlay` produces), and
 rounds are batch operations — :meth:`route_batch` advances thousands of
-lookups in vectorized lockstep with the same per-hop arithmetic as
+lookups in vectorized lockstep through the same kernel as
 :func:`repro.ring.routing.route_probes_batch`, and :meth:`gossip_round`
 runs one push-sum exchange for every peer at once.  Membership is
 seed-identical to the object backend: :meth:`build` consumes the identifier
@@ -34,6 +34,7 @@ from numpy.typing import ArrayLike, NDArray
 
 from repro.ring.hashing import OrderPreservingHash
 from repro.ring.identifier import IdentifierSpace
+from repro.ring.lockstep import compress_scan, exact_fingers, route_lockstep
 from repro.ring.messages import MessageStats, MessageType
 
 if TYPE_CHECKING:  # summary objects are built by repro.core.synopsis
@@ -164,41 +165,23 @@ class CompactRing:
     ) -> NDArray[np.uint64]:
         """The compressed finger-scan matrix, built blockwise.
 
-        Per block of rows: compute the full ``block x bits`` finger slab
-        (owner of ``id + 2^k`` via one ``searchsorted``), collapse
-        duplicate runs to their highest column — every finger is valid on
-        the stabilized ring, so the keep mask is just the run-boundary
-        test — and stash the kept entries.  The final matrix pads each row
-        to the global maximum width with the row's own identifier.  Peak
+        Each block of rows gets its exact fingers and its compression from
+        :mod:`repro.ring.lockstep`; the blocks are then padded to the
+        widest block's width with each row's own identifier.  Peak
         transient memory is one block's finger slab, never ``n x bits``.
         """
-        n = ids.size
-        bits = space.bits
-        mask = np.uint64(space.size - 1)
-        powers = np.uint64(1) << np.arange(bits, dtype=np.uint64)
-        blocks: list[tuple[NDArray[np.uint64], NDArray[np.int64]]] = []
-        width = 1
-        for lo in range(0, n, _SCAN_BLOCK):
-            hi = min(lo + _SCAN_BLOCK, n)
-            targets = (ids[lo:hi, None] + powers[None, :]) & mask
-            indices = np.searchsorted(ids, targets, side="left")
-            indices[indices == n] = 0
-            fingers = ids[indices]
-            keep = np.ones(fingers.shape, dtype=bool)
-            if bits > 1:
-                keep[:, :-1] = fingers[:, :-1] != fingers[:, 1:]
-            widths = keep.sum(axis=1)
-            width = max(width, int(widths.max()))
-            blocks.append((fingers[keep], widths))
-        scan = np.repeat(ids[:, None], width, axis=1)
-        row = 0
-        for kept, widths in blocks:
-            starts = np.zeros(widths.size + 1, dtype=np.int64)
-            np.cumsum(widths, out=starts[1:])
-            rows = np.repeat(np.arange(widths.size, dtype=np.int64), widths)
-            cols = np.arange(kept.size, dtype=np.int64) - starts[rows]
-            scan[row + rows, cols] = kept
-            row += widths.size
+        n = int(ids.size)
+        starts = range(0, n, _SCAN_BLOCK)
+        blocks = [
+            compress_scan(
+                exact_fingers(ids, space.bits, lo, min(lo + _SCAN_BLOCK, n)),
+                ids[lo : lo + _SCAN_BLOCK],
+            )
+            for lo in starts
+        ]
+        scan = np.repeat(ids[:, None], max(block.shape[1] for block in blocks), axis=1)
+        for lo, block in zip(starts, blocks):
+            scan[lo : lo + block.shape[0], : block.shape[1]] = block
         return scan
 
     def _build_segment_bounds(self) -> None:
@@ -465,98 +448,26 @@ class CompactRing:
         """Route many lookups in vectorized lockstep; returns (owners, hops).
 
         ``entries`` are peer *indices*, ``keys`` ring positions; the result
-        arrays give each lookup's owner index and hop count.  The per-hop
-        arithmetic is the stabilized-ring core of
-        :func:`repro.ring.routing.route_probes_batch`: entry shortcuts
-        (self-key, live-predecessor half-open test), the highest-column
-        in-arc scan over the compressed finger matrix with successor
-        fallback, and one final delivery hop — minus the dead-pointer
-        handling, which cannot arise here.  Hops are posted to the ledger
-        in one bulk ``LOOKUP_HOP`` record.  When ``traffic`` (length
-        ``n_peers``) is given, every hop's destination increments it —
-        the per-peer message load the congestion metrics read.
+        arrays give each lookup's owner index and hop count.  Routing is
+        :func:`repro.ring.lockstep.route_lockstep` on the stabilized ring —
+        the same kernel :func:`repro.ring.routing.route_probes_batch` runs
+        on the object backend.  Hops are posted to the ledger in one bulk
+        ``LOOKUP_HOP`` record.  When ``traffic`` (length ``n_peers``) is
+        given, every hop's destination increments it — the per-peer
+        message load the congestion metrics read.
         """
-        count = int(keys.size)
-        if count == 0:
-            return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
-        ids = self.ids
-        n = ids.size
-        mask = np.uint64(self.space.mask)
-        zero = np.uint64(0)
-        scan = self.scan
-        max_hops = 2 * n + self.space.bits
-
-        cur = np.asarray(entries, dtype=np.int64).copy()
-        keys_arr = np.asarray(keys, dtype=np.uint64)
-        hops = np.zeros(count, dtype=np.int64)
-        owner_idx = np.full(count, -1, dtype=np.int64)
-
-        succ_of = lambda idx: (idx + 1) % n  # noqa: E731 - tiny index roll
-        entry_ids = ids[cur]
-        pred_idx = (cur - 1) % n
-        preds_here = ids[pred_idx]
-
-        # Entry shortcuts, exactly as in route_to_key: the entry itself, or
-        # a node whose (always live) predecessor precedes the key.
-        done = keys_arr == entry_ids
-        owner_idx[done] = cur[done]
-        dk = (keys_arr - preds_here) & mask
-        shortcut = (
-            ~done
-            & (
-                (preds_here == entry_ids)
-                | ((dk > zero) & (dk <= (entry_ids - preds_here) & mask))
-            )
+        routes = route_lockstep(
+            self.ids, self.scan, entries, keys, bits=self.space.bits, traffic=traffic
         )
-        owner_idx[shortcut] = cur[shortcut]
-        done |= shortcut
-
-        active = np.flatnonzero(~done)
-        rounds = 0
-        while active.size:
-            rounds += 1
-            if rounds > max_hops:
-                raise RuntimeError(
-                    f"{active.size} lookups exceeded {max_hops} hops on a "
-                    "stabilized compact ring (corrupt scan matrix?)"
-                )
-            ci = cur[active]
-            ci_ids = ids[ci]
-            key_dist = (keys_arr[active] - ci_ids) & mask  # > 0 mid-route
-            si = succ_of(ci)
-            succ_ids = ids[si]
-            terminal = key_dist <= (succ_ids - ci_ids) & mask
-            finished = active[terminal]
-            if finished.size:
-                owner_idx[finished] = si[terminal]
-                hops[finished] += 1  # the final delivery hop
-                if traffic is not None:
-                    np.add.at(traffic, si[terminal], 1)
-            advancing = active[~terminal]
-            if not advancing.size:
-                break
-            ca = cur[advancing]
-            ca_ids = ids[ca]
-            finger_dist = (scan[ca] - ca_ids[:, None]) & mask
-            in_arc = (finger_dist > zero) & (
-                finger_dist < ((keys_arr[advancing] - ca_ids) & mask)[:, None]
+        if routes.unfinished.any():
+            raise RuntimeError(
+                f"{int(routes.unfinished.sum())} lookups exceeded the hop budget "
+                "on a stabilized compact ring (corrupt scan matrix?)"
             )
-            hit = in_arc.any(axis=1)
-            first_rev = in_arc.shape[1] - 1 - np.argmax(in_arc[:, ::-1], axis=1)
-            cand_idx = np.searchsorted(ids, scan[ca, first_rev]).astype(np.int64)
-            # No finger inside the arc: fall to the successor, which always
-            # qualifies mid-route on a stabilized ring.
-            cand_idx = np.where(hit, cand_idx, succ_of(ca))
-            hops[advancing] += 1
-            if traffic is not None:
-                np.add.at(traffic, cand_idx, 1)
-            cur[advancing] = cand_idx
-            active = advancing
-
-        total_hops = int(hops.sum())
+        total_hops = int(routes.hops.sum())
         if total_hops:
             self.record(MessageType.LOOKUP_HOP, count=total_hops)
-        return owner_idx, hops
+        return routes.rows, routes.hops
 
     def routing_round(
         self,

@@ -14,6 +14,7 @@ from typing import NamedTuple, Optional, Sequence
 import numpy as np
 
 from repro.ring.faults import FaultPlane, RetryPolicy
+from repro.ring.lockstep import Pointers, route_lockstep
 from repro.ring.messages import MessageType
 from repro.ring.network import NetworkError, RingNetwork
 from repro.ring.node import PeerNode
@@ -386,24 +387,21 @@ def route_probes_batch(
 
     Loss-free routing is a pure read of the overlay (no pointer mutations,
     no RNG), so a batch of lookups against one frozen snapshot can advance
-    all of them simultaneously: one pass over the snapshot's compressed
-    finger-scan table (duplicate runs collapsed, so ~log2(n) columns
-    rather than ``bits``) replaces per-hop Python scans.  Each probe's hop count, timeout count,
-    and owner are exactly those of :func:`route_to_key` — the per-step
-    arithmetic is the same inlined scan, and a step towards a departed
-    finger is handled in-batch just as the reference handles it: one
-    counted hop for the timed-out probe, then a rescan at the same node
-    with that finger's columns masked out (the reference's ``excluded``
-    set, which it rebuilds per node).  Only genuinely irregular probes
-    leave the batch — a dead or self-looped successor pointer (the
-    successor-list repair path) or an exhausted hop budget — and are
-    re-routed through the scalar reference, byte-identical because the
-    overlay state it reads is unchanged.  ``LOOKUP_HOP`` totals match the sequential path; with
+    all of them at once through :func:`repro.ring.lockstep.route_lockstep`
+    over the snapshot's compressed finger-scan table.  Each probe's hop
+    count, timeout count, and owner are exactly those of
+    :func:`route_to_key`: the kernel takes the reference's steps,
+    timed-out fingers included.  This function resolves which successor
+    and predecessor pointers are live, and re-routes the probes the kernel
+    leaves unfinished — a dead or self-looped successor pointer (the
+    successor-list repair path), an exhausted hop budget, or the last few
+    stragglers — through the scalar reference from the node where they
+    stopped, byte-identical because the overlay state it reads is
+    unchanged.  ``LOOKUP_HOP`` totals match the sequential path; with
     losses enabled the sequential path runs unconditionally to preserve
     RNG interleaving.
     """
-    count = len(keys)
-    if count == 0:
+    if len(keys) == 0:
         return []
     if policy is not None or network.loss_rate > 0.0 or network.n_peers == 0:
         # A policy implies per-link attempt accounting (stateful across the
@@ -414,186 +412,51 @@ def route_probes_batch(
         ]
     snap = network.snapshot()
     ids = snap.ids
-    n = int(ids.size)
-    space = network.space
-    mask = np.uint64(space.mask)
-    zero = np.uint64(0)
+    last = ids.size - 1
     successors = snap.successor_array()
-    predecessors, _ = snap.predecessor_array()
-    fingers = snap.finger_scan_tables()
-    max_hops = 2 * network.n_peers + space.bits
-
-    # Pointer targets resolved once for all n peers: a pointer is live iff
-    # it appears in the sorted live-id array (departed peers are
-    # unregistered, so membership here is exactly ``try_node(...) is not
-    # None``), and its row index doubles as the hop destination.
-    succ_idx = np.searchsorted(ids, successors).astype(np.int64)
-    np.minimum(succ_idx, n - 1, out=succ_idx)
-    succ_live = ids[succ_idx] == successors
-    succ_self = successors == ids
-    pred_idx = np.searchsorted(ids, predecessors).astype(np.int64)
-    np.minimum(pred_idx, n - 1, out=pred_idx)
-    pred_live = snap.predecessor_array()[1] & (ids[pred_idx] == predecessors)
-
-    keys_arr = np.asarray([int(key) for key in keys], dtype=np.uint64)
-    entry_ids = np.asarray([entry.ident for entry in entries], dtype=np.uint64)
-    cur = np.searchsorted(ids, entry_ids).astype(np.int64)
-    hops = np.zeros(count, dtype=np.int64)
-    touts = np.zeros(count, dtype=np.int64)
-    owner_idx = np.full(count, -1, dtype=np.int64)
-    fallback = np.zeros(count, dtype=bool)
-    # Excluded (timed-out) fingers per probe at its current node, keyed by
-    # probe index; the reference rebuilds its exclusion set at every node,
-    # so entries are dropped the moment a probe advances.  Only stuck
-    # probes appear here, so the per-iteration masking loop is short.
-    excl_map: dict[int, list[int]] = {}
-
-    # Entry shortcuts, exactly as in route_to_key: the entry itself, or a
-    # node whose live predecessor precedes the key, answers with 0 hops.
-    done = keys_arr == entry_ids
-    owner_idx[done] = cur[done]
-    preds_here = predecessors[cur]
-    dk = (keys_arr - preds_here) & mask
-    shortcut = (
-        ~done
-        & pred_live[cur]
-        & (
-            (preds_here == entry_ids)
-            | ((dk > zero) & (dk <= (entry_ids - preds_here) & mask))
-        )
+    predecessors, pred_valid = snap.predecessor_array()
+    # A pointer is live iff it appears in the sorted live-id array
+    # (departed peers are unregistered, so membership here is exactly
+    # ``try_node(...) is not None``); its row doubles as the hop target.
+    succ = np.minimum(np.searchsorted(ids, successors), last)
+    pred = np.minimum(np.searchsorted(ids, predecessors), last)
+    pointers = Pointers(
+        succ=succ,
+        succ_ok=(ids[succ] == successors) & (successors != ids),
+        pred=predecessors,
+        pred_ok=pred_valid & (ids[pred] == predecessors),
     )
-    owner_idx[shortcut] = cur[shortcut]
-    done |= shortcut
-
-    active = np.flatnonzero(~done)
-    while active.size:
-        if active.size <= _BATCH_TAIL_CUTOFF:
-            # A vectorized step costs the same whether it advances sixty
-            # probes or three, so once the stragglers are few the scalar
-            # loop is cheaper per hop.  Rolled-back exclusion hops are
-            # replayed by the resume, exactly as in the give-up path below.
-            for probe in active.tolist():
-                rolled = len(excl_map.pop(probe, ()))
-                if rolled:
-                    hops[probe] -= rolled
-                    touts[probe] -= rolled
-            fallback[active] = True
-            break
-        ci = cur[active]
-        # A dead or self-looped successor pointer needs the successor-list
-        # (or oracle) repair path — rare, and handled by the reference.
-        plain = succ_live[ci] & ~succ_self[ci]
-        if not plain.all():
-            fallback[active[~plain]] = True
-            active = active[plain]
-            if not active.size:
-                break
-            ci = cur[active]
-        ci_ids = ids[ci]
-        key_dist = (keys_arr[active] - ci_ids) & mask  # > 0 mid-route
-        succ_ids = successors[ci]
-        terminal = key_dist <= (succ_ids - ci_ids) & mask
-        finished = active[terminal]
-        if finished.size:
-            owner_idx[finished] = succ_idx[ci[terminal]]
-            hops[finished] += 1  # the final delivery hop (owner != current)
-        advancing = active[~terminal]
-        if not advancing.size:
-            break
-        ca = cur[advancing]
-        ca_ids = ids[ca]
-        # The per-hop finger scan over all advancing probes at once: the
-        # reference walks the reversed finger table and takes the first
-        # entry inside (ident, key), i.e. the highest-index valid column
-        # passing the distance test.  The compressed scan table drops
-        # invalid columns and collapses duplicate runs (pad entries are
-        # the peer's own id, which fails the strict distance test), so
-        # no validity mask is needed here.
-        finger_dist = (fingers[ca] - ca_ids[:, None]) & mask
-        in_arc = (finger_dist > zero) & (
-            finger_dist < ((keys_arr[advancing] - ca_ids) & mask)[:, None]
-        )
-        if excl_map:
-            # ``advancing`` stays sorted through every boolean filter, so a
-            # stuck probe's row is one bisection away.
-            for probe, excluded_ids in excl_map.items():
-                row = int(np.searchsorted(advancing, probe))
-                if row < advancing.size and advancing[row] == probe:
-                    finger_row = fingers[ca[row]]
-                    arc_row = in_arc[row]
-                    for excluded in excluded_ids:
-                        arc_row &= finger_row != excluded
-        hit = in_arc.any(axis=1)
-        first_rev = in_arc.shape[1] - 1 - np.argmax(in_arc[:, ::-1], axis=1)
-        candidate = fingers[ca, first_rev]
-        # No finger inside the arc: fall to the successor, which always
-        # qualifies here (not-terminal means it precedes the key strictly).
-        candidate = np.where(hit, candidate, succ_ids[~terminal])
-        cand_idx = np.searchsorted(ids, candidate).astype(np.int64)
-        np.minimum(cand_idx, n - 1, out=cand_idx)
-        cand_live = ids[cand_idx] == candidate
-        over = hops[advancing] + 1 > max_hops
-        dead = ~cand_live & ~over
-        if over.any():
-            # Exhausted budget: hand the probe to the scalar path, resumed
-            # from its current node with any counted exclusion hops rolled
-            # back — the resume replays the whole stay at this node,
-            # including every timeout-and-exclude retry and the budget
-            # error itself.
-            rows = advancing[over]
-            for probe in rows.tolist():
-                rolled = len(excl_map.pop(probe, ()))
-                if rolled:
-                    hops[probe] -= rolled
-                    touts[probe] -= rolled
-            fallback[rows] = True
-            keep = ~over
-            advancing = advancing[keep]
-            candidate = candidate[keep]
-            cand_idx = cand_idx[keep]
-            dead = dead[keep]
-        if dead.any():
-            # A timed-out probe towards a departed finger: one counted
-            # hop, exclude it, rescan at the same node — the reference's
-            # per-node retry, in batch.
-            rows = advancing[dead]
-            hops[rows] += 1
-            touts[rows] += 1
-            for probe, excluded in zip(rows.tolist(), candidate[dead].tolist()):
-                excl_map.setdefault(probe, []).append(excluded)
-        moved = advancing[~dead]
-        hops[moved] += 1
-        cur[moved] = cand_idx[~dead]
-        if excl_map:
-            for probe in moved.tolist():
-                excl_map.pop(probe, None)  # exclusions are per node
-        active = advancing
-
-    vector_hops = int(hops[~fallback].sum())
-    if vector_hops:
-        network.record(MessageType.LOOKUP_HOP, count=vector_hops)
+    entry_ids = np.asarray([entry.ident for entry in entries], dtype=np.uint64)
+    routes = route_lockstep(
+        ids,
+        snap.finger_scan_tables(),
+        np.searchsorted(ids, entry_ids),
+        [int(key) for key in keys],
+        bits=network.space.bits,
+        pointers=pointers,
+        tail_cutoff=_BATCH_TAIL_CUTOFF,
+    )
+    batch_hops = int(routes.hops[~routes.unfinished].sum())
+    if batch_hops:
+        network.record(MessageType.LOOKUP_HOP, count=batch_hops)
     node_of = network.node
-    ids_list_all = ids.tolist()
-    results: list[Optional[RouteResult]] = [None] * count
-    for index in np.flatnonzero(fallback).tolist():
-        # Resume from the node where the vectorized prefix stopped; the
-        # prefix is byte-identical to the sequential loop's own first
-        # ``hops[index]`` steps, so seeding the counter (and skipping the
-        # entry shortcuts when any step was taken) reproduces the full
-        # scalar route's owner, hop total, and single ledger record.
-        results[index] = route_to_key(
-            network,
-            node_of(ids_list_all[cur[index]]),
-            int(keys[index]),
-            _initial_hops=int(hops[index]),
-        )
-    for index in np.flatnonzero(~fallback).tolist():
-        results[index] = RouteResult(
-            owner=node_of(ids_list_all[owner_idx[index]]),
-            hops=int(hops[index]),
-            timeouts=int(touts[index]),
-        )
-    return results  # type: ignore[return-value]
+    id_list = ids.tolist()
+    results: list[RouteResult] = []
+    columns = (column.tolist() for column in routes)
+    for key, row, hops, timeouts, unfinished in zip(keys, *columns):
+        if unfinished:
+            # Resume from the node where the batch stopped; its prefix is
+            # the sequential loop's own first ``hops`` steps, so seeding the
+            # counter (and skipping the entry shortcuts when any step was
+            # taken) reproduces the full route's owner, hop total, and
+            # single ledger record.  The prefix's timeouts are added back.
+            resumed = route_to_key(
+                network, node_of(id_list[row]), int(key), _initial_hops=hops
+            )
+            results.append(resumed._replace(timeouts=resumed.timeouts + timeouts))
+        else:
+            results.append(RouteResult(node_of(id_list[row]), hops, timeouts))
+    return results
 
 
 def route_with_policy(

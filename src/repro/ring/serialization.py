@@ -59,8 +59,8 @@ def clone_network(network: RingNetwork) -> RingNetwork:
     (exactly what F18 does).  Cloning a network with an *active* plane —
     structural faults configured or scheduled — is therefore refused
     rather than silently shared.  An inert plane carrying only a base
-    ``loss_rate`` (the deprecated constructor shim installs exactly this)
-    is pure configuration: the clone gets its own equivalent plane, built
+    ``loss_rate`` (what ``install_faults(FaultPlane(loss_rate=p))``
+    installs) is pure configuration: the clone gets its own equivalent plane, built
     from the same seed, and the scalar loss model keeps drawing from the
     network generator whose state is copied below.
     """

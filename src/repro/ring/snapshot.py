@@ -36,6 +36,8 @@ from typing import TYPE_CHECKING, Optional
 import numpy as np
 from numpy.typing import NDArray
 
+from repro.ring.lockstep import compress_scan
+
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (network imports us)
     from repro.ring.network import RingNetwork
 
@@ -328,41 +330,20 @@ class RingSnapshot:
         return self._finger_matrix, self._finger_valid
 
     def finger_scan_tables(self) -> NDArray[np.uint64]:
-        """The finger matrix with consecutive duplicate runs collapsed.
+        """The finger matrix in the compressed scan layout the router reads.
 
-        Finger targets are successors of exponentially spaced points, so
-        the ``bits``-wide table usually holds only ~log2(n) distinct
-        values, in consecutive runs.  Routing only ever asks "highest
-        column inside an arc", and equal values at lower columns can
-        never change that answer, so each run compresses to its
-        highest-column entry — cutting the per-hop matrix work by the
-        run factor.  A valid entry is dropped only when the *next*
-        column is valid and equal: stale, non-monotone tables under
-        churn at worst keep redundant duplicates, never lose a value.
-        Invalid (``None``) fingers are dropped outright, and rows are
-        padded to the common width with the peer's own identifier, which
-        fails every strict in-arc test by construction — so no validity
-        mask is needed.
+        See :func:`repro.ring.lockstep.compress_scan`: invalid (``None``)
+        fingers dropped, duplicate runs collapsed to their highest column,
+        rows padded with the peer's own identifier.  Cached until the next
+        overlay change.
         """
         self._ensure_overlay()
-        if self._scan_token == self._overlay_token:
-            return self._scan_matrix
-        fingers = self._finger_matrix
-        valid = self._finger_valid
-        n, bits = fingers.shape
-        keep = valid.copy()
-        if bits > 1:
-            keep[:, :-1] &= (fingers[:, :-1] != fingers[:, 1:]) | ~valid[:, 1:]
-        widths = keep.sum(axis=1)
-        width = int(widths.max()) if n else 0
-        scan = np.repeat(self._overlay_ids[:, None], max(width, 1), axis=1)
-        rows, cols = np.nonzero(keep)
-        starts = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(widths, out=starts[1:])
-        scan[rows, np.arange(rows.size) - starts[rows]] = fingers[rows, cols]
-        self._scan_matrix = scan
-        self._scan_token = self._overlay_token
-        return scan
+        if self._scan_token != self._overlay_token:
+            self._scan_matrix = compress_scan(
+                self._finger_matrix, self._overlay_ids, self._finger_valid
+            )
+            self._scan_token = self._overlay_token
+        return self._scan_matrix
 
     def adjacency(self) -> dict[int, list[int]]:
         """Symmetrized overlay graph (fingers ∪ ring links ∪ reverses).

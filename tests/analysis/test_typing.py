@@ -25,6 +25,7 @@ SCOPED = [
     REPO_ROOT / "src" / "repro" / "ring" / "snapshot.py",
     REPO_ROOT / "src" / "repro" / "ring" / "mutation.py",
     REPO_ROOT / "src" / "repro" / "ring" / "compact.py",
+    REPO_ROOT / "src" / "repro" / "ring" / "lockstep.py",
     REPO_ROOT / "src" / "repro" / "serve" / "metrics.py",
     REPO_ROOT / "src" / "repro" / "experiments" / "estimation_bench.py",
 ]

@@ -156,7 +156,7 @@ class TestServingBench:
     def test_s1_is_a_known_id(self):
         # S1 is CLI-only: wall-clock metrics cannot satisfy the registry's
         # bit-identity contract, so it must never appear in EXPERIMENTS.
-        assert "S1" in bench_cli.SERVING_BENCHES
+        assert "S1" in bench_cli.EXTRA_BENCHES
         assert "S1" not in bench_cli.EXPERIMENTS
 
     def test_time_serving_bench_records_metrics(self, monkeypatch):
@@ -166,7 +166,7 @@ class TestServingBench:
             calls.append((scale, seed))
             return dict(FAKE_METRICS)
 
-        monkeypatch.setitem(bench_cli.SERVING_BENCHES, "S1", fake_bench)
+        monkeypatch.setitem(bench_cli.EXTRA_BENCHES, "S1", fake_bench)
         result = bench_cli.time_serving_bench("S1", 0.5, 3, repetitions=2)
         # One warmup plus the timed repetitions, all at (scale, seed).
         assert calls == [(0.5, 3)] * 3
@@ -175,7 +175,7 @@ class TestServingBench:
 
     def test_main_writes_s1_metrics_into_trajectory(self, tmp_path, monkeypatch):
         monkeypatch.setitem(
-            bench_cli.SERVING_BENCHES, "S1", lambda scale, seed: dict(FAKE_METRICS)
+            bench_cli.EXTRA_BENCHES, "S1", lambda scale, seed: dict(FAKE_METRICS)
         )
         out = tmp_path / "BENCH.json"
         assert bench_cli.main(["S1", "--json", str(out), "--repetitions", "1"]) == 0
@@ -185,7 +185,7 @@ class TestServingBench:
 
     def test_s1_regression_checked_like_any_bench(self, tmp_path, monkeypatch):
         monkeypatch.setitem(
-            bench_cli.SERVING_BENCHES, "S1", lambda scale, seed: dict(FAKE_METRICS)
+            bench_cli.EXTRA_BENCHES, "S1", lambda scale, seed: dict(FAKE_METRICS)
         )
         baseline = tmp_path / "BASE.json"
         baseline.write_text(
@@ -212,8 +212,6 @@ class TestScaleBench:
         # events/sec are wall-clock, which the registry contract forbids.
         assert "E1" in bench_cli.EXTRA_BENCHES
         assert "E1" not in bench_cli.EXPERIMENTS
-        # The legacy alias is the same object, so either name works.
-        assert bench_cli.SERVING_BENCHES is bench_cli.EXTRA_BENCHES
 
     def test_main_writes_e1_metrics_into_trajectory(self, tmp_path, monkeypatch):
         monkeypatch.setitem(

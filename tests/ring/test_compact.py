@@ -39,10 +39,6 @@ class TestConstruction:
             compact.ids, np.asarray(sorted(network.peer_ids()), dtype=np.uint64)
         )
 
-    def test_compact_refuses_loss_rate(self):
-        with pytest.raises(ValueError):
-            RingNetwork.create(16, loss_rate=0.1, compact=True)
-
     def test_build_rejects_empty_ring(self):
         with pytest.raises(ValueError):
             CompactRing.build(0)

@@ -33,9 +33,9 @@ class TestValidation:
 
     def test_network_loss_rate_validated(self):
         with pytest.raises(ValueError, match="loss_rate"):
-            RingNetwork(IdentifierSpace(16), loss_rate=1.0)
+            RingNetwork(IdentifierSpace(16)).install_faults(FaultPlane(loss_rate=1.0))
         with pytest.raises(ValueError, match="loss_rate"):
-            RingNetwork.create(4, seed=0, loss_rate=-0.5)
+            RingNetwork.create(4, seed=0).install_faults(FaultPlane(loss_rate=-0.5))
 
     def test_plane_construction_validated(self):
         with pytest.raises(ValueError, match="loss_rate"):

@@ -52,9 +52,11 @@ class TestRoundTrip:
             assert restored.node(ident).replicas == network.node(ident).replicas
 
     def test_loss_rate_preserved(self):
+        from repro.ring.faults import FaultPlane
         from repro.ring.network import RingNetwork
 
-        network = RingNetwork.create(4, seed=1, loss_rate=0.2)
+        network = RingNetwork.create(4, seed=1)
+        network.install_faults(FaultPlane(loss_rate=0.2))
         restored = network_from_dict(network_to_dict(network))
         assert restored.loss_rate == 0.2
 
