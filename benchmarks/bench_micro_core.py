@@ -12,8 +12,9 @@ from repro.core.cdf import PiecewiseCDF, empirical_cdf
 from repro.core.cdf_sampling import collect_probes
 from repro.core.estimator import DistributionFreeEstimator
 from repro.data.workload import build_dataset
+from repro.ring.churn import ChurnConfig, ChurnProcess
 from repro.ring.network import RingNetwork
-from repro.ring.routing import route_to_key
+from repro.ring.routing import route_probes_batch, route_to_key
 
 
 @pytest.fixture(scope="module")
@@ -79,3 +80,31 @@ def test_full_estimate(benchmark, loaded_network):
 
 def test_network_construction(benchmark):
     benchmark(RingNetwork.create, 256, seed=6)
+
+
+def test_overlay_refresh_after_churn(benchmark):
+    """A 128-probe batch right after a 1% churn round on a 10^4-peer ring.
+
+    Each timed call pays the snapshot refresh the round left behind: the
+    data plane and the overlay view, which is updated from the round's
+    pointer writes rather than re-read peer by peer.  The churn round
+    itself runs in the untimed set-up.
+    """
+    data = build_dataset("zipf", 100_000, seed=7)
+    network = RingNetwork.create(10_000, domain=data.distribution.domain.as_tuple(), seed=8)
+    network.load_data(data.values)
+    network.snapshot().finger_scan_tables()
+    churn = ChurnProcess(
+        network,
+        ChurnConfig(join_rate=0.01, leave_rate=0.01, crash_fraction=0.5),
+        rng=np.random.default_rng(9),
+    )
+    rng = np.random.default_rng(10)
+
+    def churn_round():
+        churn.run_round()
+        entries = [network.random_peer() for _ in range(128)]
+        keys = [int(k) for k in rng.integers(0, network.space.size, 128, dtype=np.uint64)]
+        return (network, entries, keys), {}
+
+    benchmark.pedantic(route_probes_batch, setup=churn_round, rounds=8)

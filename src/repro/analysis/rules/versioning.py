@@ -12,7 +12,8 @@ churn / replication / storage modules) and checks, per function:
 
 * **mutation events** — assignments to overlay pointer attributes
   (``predecessor_id``, ``successor_id``, ``successor_list``, ``fingers``,
-  ``alive``), ``set_finger`` calls, registry-container edits
+  ``alive``), ``set_finger`` calls (bare or with their result
+  assigned), registry-container edits
   (``_nodes`` / ``_sorted_ids``), and — inside ``storage.py`` — direct
   edits of the store's ``_list`` backing;
 * **bump events** — calls to ``note_overlay_change`` /
@@ -106,6 +107,13 @@ class _EventScanner:
                 return f"registry container `{_attr_name(target)}`"
             if self.in_storage and _is_store_backing(target):
                 return "store backing `_list`"
+        if (
+            isinstance(stmt, (ast.Assign, ast.AnnAssign))
+            and isinstance(stmt.value, ast.Call)
+            and _attr_name(stmt.value.func) == "set_finger"
+        ):
+            # ``changed = node.set_finger(k, owner)`` writes the table too.
+            return "finger table via `set_finger`"
         if isinstance(stmt, ast.Expr) and isinstance(stmt.value, ast.Call):
             func = stmt.value.func
             if isinstance(func, ast.Attribute):

@@ -162,12 +162,15 @@ def join(network: RingNetwork, new_ident: int, via: Optional[PeerNode] = None) -
 
     # Link in: successor's predecessor, predecessor's successor.
     successor.predecessor_id = new_ident
+    relinked = [successor.ident]
     if predecessor_id is not None:
         predecessor = network.try_node(predecessor_id)
         if predecessor is not None:
             predecessor.successor_id = new_ident
+            relinked.append(predecessor_id)
             network.record(MessageType.NOTIFY)
 
+    network._note_pointer_writes(relinked)
     network._register(new_node)
     return new_node
 
@@ -210,12 +213,15 @@ def leave_gracefully(network: RingNetwork, ident: int) -> None:
 
     # Relink neighbours around the departing peer.
     successor.predecessor_id = node.predecessor_id
+    relinked = [successor.ident]
     if node.predecessor_id is not None:
         predecessor = network.try_node(node.predecessor_id)
         if predecessor is not None:
             predecessor.successor_id = successor.ident
+            relinked.append(predecessor.ident)
             network.record(MessageType.NOTIFY)
 
+    network._note_pointer_writes(relinked)
     node.alive = False
     network._unregister(ident)
 
@@ -246,6 +252,7 @@ def stabilize(network: RingNetwork, node: PeerNode) -> None:
     (modelled by one oracle repair at the cost of the timed-out probe).
     """
     network.record(MessageType.STABILIZE)
+    successor_before = node.successor_id
     successor = network.try_node(node.successor_id)
     if successor is None or not successor.alive:
         # Timed-out probe, then fall back to the successor list.
@@ -271,8 +278,12 @@ def stabilize(network: RingNetwork, node: PeerNode) -> None:
             refreshed.append(entry)
     node.successor_list = refreshed
     network.record(MessageType.NOTIFY)
+    relinked = [node.ident] if node.successor_id != successor_before else []
+    predecessor_before = successor.predecessor_id
     _notify(network, successor, node)
-    network.note_overlay_change()
+    if successor.predecessor_id != predecessor_before:
+        relinked.append(successor.ident)
+    network.note_overlay_change(relinked)
 
 
 def _notify(network: RingNetwork, successor: PeerNode, node: PeerNode) -> None:
@@ -293,11 +304,10 @@ def fix_one_finger(network: RingNetwork, node: PeerNode) -> None:
     try:
         result = route_to_key(network, node, node.finger_target(k))
     except NetworkError:
-        node.set_finger(k, None)
-        network.note_overlay_change()
-        return
-    node.set_finger(k, result.owner.ident)
-    network.note_overlay_change()
+        changed = node.set_finger(k, None)
+    else:
+        changed = node.set_finger(k, result.owner.ident)
+    network.note_overlay_change((), [(node.ident, k)] if changed else ())
 
 
 def maintenance_round(network: RingNetwork, fingers_per_peer: int = 1) -> None:
@@ -356,6 +366,10 @@ def _maintenance_round_fast(network: RingNetwork, fingers_per_peer: int) -> None
     stabilizes = 0
     fixes = 0
     bulk_hops = 0
+    # Peers whose successor or predecessor changed value, and the finger
+    # entries that did.
+    relinked: set[int] = set()
+    fixed: list[tuple[int, int]] = []
     # Modular membership tests are inlined throughout (in_open(x, a, b) ⇔
     # 0 < (x−a)&mask < reach with reach = (b−a)&mask or size): they run a
     # handful of times per peer per round, and the method-call overhead
@@ -371,6 +385,7 @@ def _maintenance_round_fast(network: RingNetwork, fingers_per_peer: int) -> None
         if successor is None or not successor.alive:
             repaired = network._oracle_successor((self_id + 1) & mask)
             node.successor_id = repaired
+            relinked.add(self_id)
             successor = network.node(repaired)
         candidate_id = successor.predecessor_id
         if candidate_id is not None and candidate_id != self_id:
@@ -379,6 +394,7 @@ def _maintenance_round_fast(network: RingNetwork, fingers_per_peer: int) -> None
                 (successor.ident - self_id) & mask or size
             ):
                 node.successor_id = candidate_id
+                relinked.add(self_id)
                 successor = candidate
         sl = successor.successor_list
         if self_id not in sl and successor.ident not in sl:
@@ -396,10 +412,13 @@ def _maintenance_round_fast(network: RingNetwork, fingers_per_peer: int) -> None
             node.successor_list = refreshed
         # --- notify (inlined _notify) ---
         current = successor.predecessor_id
-        if current is None or nodes_get(current) is None:
-            successor.predecessor_id = self_id
-        elif 0 < (self_id - current) & mask < ((successor.ident - current) & mask or size):
-            successor.predecessor_id = self_id
+        if (
+            current is None
+            or nodes_get(current) is None
+            or 0 < (self_id - current) & mask < ((successor.ident - current) & mask or size)
+        ):
+            successor.predecessor_id = self_id  # never its value already: self is live
+            relinked.add(successor.ident)
         # --- fix fingers (inlined; ledger deferred) ---
         for _ in range(fingers_per_peer):
             k = node.next_finger_index
@@ -437,17 +456,16 @@ def _maintenance_round_fast(network: RingNetwork, fingers_per_peer: int) -> None
                         owner_id = successor_id
                         if owner_id != self_id:
                             bulk_hops += 1  # the final delivery hop
-            if owner_id >= 0:
-                node.set_finger(k, owner_id)
-                continue
-            # Multi-hop lookup: the full router replays the identical scan
-            # from scratch and bulk-records its own hops.
-            try:
-                result = route_to_key(network, node, target)
-            except NetworkError:
-                node.set_finger(k, None)
-                continue
-            node.set_finger(k, result.owner.ident)
+            finger: Optional[int] = owner_id
+            if owner_id < 0:
+                # Multi-hop lookup: the full router replays the identical
+                # scan from scratch and bulk-records its own hops.
+                try:
+                    finger = route_to_key(network, node, target).owner.ident
+                except NetworkError:
+                    finger = None
+            if node.set_finger(k, finger):
+                fixed.append((self_id, k))
     if stabilizes:
         network.record(MessageType.STABILIZE, count=stabilizes)
         network.record(MessageType.NOTIFY, count=stabilizes)
@@ -455,7 +473,7 @@ def _maintenance_round_fast(network: RingNetwork, fingers_per_peer: int) -> None
         network.record(MessageType.FIX_FINGER, count=fixes)
     if bulk_hops:
         network.record(MessageType.LOOKUP_HOP, count=bulk_hops)
-    network.note_overlay_change()
+    network.note_overlay_change(relinked, fixed)
 
 
 def _live_neighbor(network: RingNetwork, pointer: Optional[int], self_ident: int) -> PeerNode:

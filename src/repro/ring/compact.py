@@ -176,7 +176,7 @@ class CompactRing:
             compress_scan(
                 exact_fingers(ids, space.bits, lo, min(lo + _SCAN_BLOCK, n)),
                 ids[lo : lo + _SCAN_BLOCK],
-            )
+            )[0]
             for lo in starts
         ]
         scan = np.repeat(ids[:, None], max(block.shape[1] for block in blocks), axis=1)

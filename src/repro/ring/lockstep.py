@@ -46,7 +46,7 @@ def compress_scan(
     fingers: NDArray[np.uint64],
     row_ids: NDArray[np.uint64],
     valid: Optional[NDArray[np.bool_]] = None,
-) -> NDArray[np.uint64]:
+) -> tuple[NDArray[np.uint64], NDArray[np.int64]]:
     """The finger table with invalid entries dropped and duplicate runs collapsed.
 
     Finger targets are successors of exponentially spaced points, so a
@@ -60,6 +60,11 @@ def compress_scan(
     every entry is valid) are dropped outright, and rows are padded to the
     common width with the row's own identifier from ``row_ids``, which
     fails every strict in-arc test — so the router needs no validity mask.
+
+    Returns the scan table and how many entries each row kept.  The table
+    is as wide as its widest row (at least one column), so a caller that
+    recompresses some rows and carries the rest over keeps the widths to
+    know the width a full recompression would have.
     """
     n, bits = fingers.shape
     if valid is None:
@@ -73,7 +78,7 @@ def compress_scan(
     starts = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(widths, out=starts[1:])
     scan[rows, np.arange(rows.size) - starts[rows]] = fingers[keep]
-    return scan
+    return scan, widths
 
 
 class Pointers(NamedTuple):

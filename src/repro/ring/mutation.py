@@ -249,12 +249,15 @@ def apply_joins(network: RingNetwork, idents: list[int]) -> int:
         moved_total += len(moved)
 
         successor.predecessor_id = new_ident
+        relinked = [succ_ident]
         if predecessor_id is not None:
             predecessor = nodes.get(predecessor_id)
             if predecessor is not None:
                 predecessor.successor_id = new_ident
+                relinked.append(predecessor_id)
                 notifies += 1
 
+        network._note_pointer_writes(relinked)
         network._register(new_node)
         sim_ids.insert(pos, new_ident)
 
@@ -392,6 +395,10 @@ def matrix_maintenance_round(network: RingNetwork, fingers_per_peer: int) -> boo
         succ_owned.append(succ_own)
 
     mutated = False
+    # Peers whose successor or predecessor changed value, and the finger
+    # entries that did (successor lists are not part of the overlay view).
+    relinked: list[int] = []
+    fixed: list[tuple[int, int]] = []
     if not exact:
         # --- stabilize: successors, successor lists, predecessors -------
         stale_indices = np.flatnonzero(stale).tolist()
@@ -399,6 +406,7 @@ def matrix_maintenance_round(network: RingNetwork, fingers_per_peer: int) -> boo
             mutated = True
             for index in stale_indices:
                 node_list[index].successor_id = int(true_succ[index])  # repro-lint: disable=VER001 (every write sets `mutated`; note_overlay_change fires under that flag at function end)
+                relinked.append(id_list[index])
         matrix = np.array(lists, dtype=np.uint64)
         new_rows = np.empty_like(matrix)
         new_rows[:, 0] = true_succ
@@ -426,6 +434,7 @@ def matrix_maintenance_round(network: RingNetwork, fingers_per_peer: int) -> boo
         for node in node_list:
             if node.predecessor_id != prev:
                 node.predecessor_id = prev
+                relinked.append(node.ident)
                 mutated = True
             prev = node.ident
 
@@ -444,6 +453,7 @@ def matrix_maintenance_round(network: RingNetwork, fingers_per_peer: int) -> boo
             if node._fingers[k] != owner:
                 node._fingers[k] = owner
                 node._finger_scan = None
+                fixed.append((node.ident, k))
                 mutated = True
     next_ks = ((ks + advance) % ubits).tolist()
     for node, cursor in zip(node_list, next_ks):
@@ -455,6 +465,6 @@ def matrix_maintenance_round(network: RingNetwork, fingers_per_peer: int) -> boo
     if bulk_hops:
         network.record(MessageType.LOOKUP_HOP, count=bulk_hops)
     if mutated:
-        network.note_overlay_change()
+        network.note_overlay_change(relinked, fixed)
     network._exact_ring_token = network.topology_version
     return True

@@ -32,7 +32,7 @@ from repro.ring.identifier import IdentifierSpace
 from repro.ring.lockstep import exact_fingers
 from repro.ring.messages import MessageStats, MessageType
 from repro.ring.node import PeerNode
-from repro.ring.snapshot import RingSnapshot
+from repro.ring.snapshot import PointerWrites, RingSnapshot
 
 __all__ = ["RingNetwork", "NetworkError"]
 
@@ -102,6 +102,12 @@ class RingNetwork:
         #: version (membership through the registry, scalar maintenance via
         #: :meth:`note_overlay_change`), which invalidates this token.
         self._exact_ring_token: Optional[int] = None
+        #: Overlay pointer writes since the snapshot's overlay view was
+        #: last refreshed; the next refresh re-reads only these entries.
+        #: ``None`` when a writer could not name its writes
+        #: (:meth:`note_overlay_change` without arguments): the next
+        #: refresh rebuilds the whole view.
+        self._pointer_writes: Optional[PointerWrites] = None
         self._snapshot = RingSnapshot(self)
 
     def delivery_succeeds(self) -> bool:
@@ -312,6 +318,8 @@ class RingNetwork:
             raise ValueError(f"duplicate peer identifier {node.ident}")
         self._nodes[node.ident] = node
         bisect.insort(self._sorted_ids, node.ident)
+        if self._pointer_writes is not None:
+            self._pointer_writes.joined.add(node.ident)
         self._arm_store(node)
         self._invalidate_registry_views()
         self.data_version += 1
@@ -321,6 +329,8 @@ class RingNetwork:
         node = self._nodes.pop(ident)
         index = bisect.bisect_left(self._sorted_ids, ident)
         del self._sorted_ids[index]
+        if self._pointer_writes is not None:
+            self._pointer_writes.forget(ident)
         node.store._listener = None
         self._invalidate_registry_views()
         self.data_version += 1
@@ -341,6 +351,22 @@ class RingNetwork:
         """(Re-)install the one-shot data-change listener on a peer store."""
         node.store._listener = partial(self._note_data_change, node.ident)
 
+    def _rearm_dirty_stores(self) -> None:
+        """Re-arm the listeners a snapshot refresh would re-arm, without one.
+
+        A refresh re-arms exactly the live stores in :attr:`_dirty_stores`
+        (every other live store is still armed), so calling this instead
+        leaves :attr:`data_version` advancing on the next writes exactly as
+        it would after the refresh.  The serving layer counts those
+        advances as drift, so paths that observe the network without
+        refreshing the snapshot keep its accounting unchanged this way.
+        """
+        nodes = self._nodes
+        for ident in self._dirty_stores:
+            node = nodes.get(ident)
+            if node is not None:
+                self._arm_store(node)
+
     def _invalidate_registry_views(self) -> None:
         """Drop cached id views after a membership change."""
         self._ids_tuple = None
@@ -359,7 +385,11 @@ class RingNetwork:
         """
         return (self.topology_version, self.data_version)
 
-    def note_overlay_change(self) -> None:
+    def note_overlay_change(
+        self,
+        peers: Optional[Iterable[int]] = None,
+        fingers: Iterable[tuple[int, int]] = (),
+    ) -> None:
         """Advance the overlay token after a pointer-only mutation.
 
         Membership changes bump :attr:`topology_version` through the
@@ -368,8 +398,36 @@ class RingNetwork:
         membership, so they must advance the token themselves.  Derived
         overlay views (e.g. the random-walk adjacency) key their caches on
         this counter.
+
+        ``peers`` names the peers whose successor or predecessor changed
+        value and ``fingers`` the ``(peer, k)`` finger entries that did,
+        so the snapshot's overlay view re-reads only those entries.
+        ``peers=None`` means the caller cannot name its writes: the next
+        overlay refresh rebuilds the whole view.
         """
         self.topology_version += 1
+        if peers is None:
+            self._pointer_writes = None
+        else:
+            self._note_pointer_writes(peers, fingers)
+
+    def _note_pointer_writes(
+        self, peers: Iterable[int], fingers: Iterable[tuple[int, int]] = ()
+    ) -> None:
+        """Record pointer writes whose version bump comes from elsewhere.
+
+        Joins and graceful leaves relink their neighbours and then bump
+        :attr:`topology_version` through the registry; they report the
+        relinked neighbours here.  Arguments as in
+        :meth:`note_overlay_change`.
+        """
+        writes = self._pointer_writes
+        if writes is None:
+            return
+        writes.relinked.update(peers)
+        columns = writes.fingers
+        for ident, k in fingers:
+            columns[ident] = columns.get(ident, 0) | (1 << k)
 
     def sorted_ids_array(self) -> np.ndarray:
         """Live peer identifiers as a sorted ``uint64`` array (cached).

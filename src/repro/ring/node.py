@@ -106,12 +106,19 @@ class PeerNode:
         self._fingers = value
         self._finger_scan = None
 
-    def set_finger(self, k: int, node_id: Optional[int]) -> None:
-        """Install the ``k``-th finger (``None`` marks it unknown/broken)."""
+    def set_finger(self, k: int, node_id: Optional[int]) -> bool:
+        """Install the ``k``-th finger (``None`` marks it unknown/broken).
+
+        Returns whether the entry changed value; rewriting the value it
+        already holds leaves the table and its scan memo untouched.
+        """
         if not 0 <= k < self.space.bits:
             raise IndexError(f"finger index {k} outside [0, {self.space.bits})")
+        if self._fingers[k] == node_id:
+            return False
         self._fingers[k] = node_id
         self._finger_scan = None
+        return True
 
     def _finger_scan_order(self) -> list[int]:
         """Fingers in routing scan order: reversed, ``None``s and duplicate

@@ -14,7 +14,7 @@ from typing import NamedTuple, Optional, Sequence
 import numpy as np
 
 from repro.ring.faults import FaultPlane, RetryPolicy
-from repro.ring.lockstep import Pointers, route_lockstep
+from repro.ring.lockstep import route_lockstep
 from repro.ring.messages import MessageType
 from repro.ring.network import NetworkError, RingNetwork
 from repro.ring.node import PeerNode
@@ -391,15 +391,18 @@ def route_probes_batch(
     over the snapshot's compressed finger-scan table.  Each probe's hop
     count, timeout count, and owner are exactly those of
     :func:`route_to_key`: the kernel takes the reference's steps,
-    timed-out fingers included.  This function resolves which successor
-    and predecessor pointers are live, and re-routes the probes the kernel
-    leaves unfinished — a dead or self-looped successor pointer (the
-    successor-list repair path), an exhausted hop budget, or the last few
-    stragglers — through the scalar reference from the node where they
-    stopped, byte-identical because the overlay state it reads is
-    unchanged.  ``LOOKUP_HOP`` totals match the sequential path; with
-    losses enabled the sequential path runs unconditionally to preserve
-    RNG interleaving.
+    timed-out fingers included.  The snapshot resolves which successor
+    and predecessor pointers are live (:meth:`RingSnapshot.pointers`);
+    this function re-routes the probes the kernel leaves unfinished — a
+    dead or self-looped successor pointer (the successor-list repair
+    path), an exhausted hop budget, or the last few stragglers — through
+    the scalar reference from the node where they stopped, byte-identical
+    because the overlay state it reads is unchanged.  A batch of at most
+    ``_BATCH_TAIL_CUTOFF`` probes is all stragglers from the start, so it
+    goes to the scalar reference whole, without refreshing the snapshot.
+    ``LOOKUP_HOP`` totals match the sequential path; with losses enabled
+    the sequential path runs unconditionally to preserve RNG
+    interleaving.
     """
     if len(keys) == 0:
         return []
@@ -410,22 +413,15 @@ def route_probes_batch(
             route_to_key(network, entry, int(key), policy=policy)
             for entry, key in zip(entries, keys)
         ]
+    if len(keys) <= _BATCH_TAIL_CUTOFF:
+        # The kernel would hand every probe that the entry shortcuts do not
+        # answer straight to the scalar router, so route them all there and
+        # skip the view refresh.  The listeners that refresh would re-arm
+        # are re-armed, so data_version advances as before.
+        network._rearm_dirty_stores()
+        return [route_to_key(network, entry, int(key)) for entry, key in zip(entries, keys)]
     snap = network.snapshot()
     ids = snap.ids
-    last = ids.size - 1
-    successors = snap.successor_array()
-    predecessors, pred_valid = snap.predecessor_array()
-    # A pointer is live iff it appears in the sorted live-id array
-    # (departed peers are unregistered, so membership here is exactly
-    # ``try_node(...) is not None``); its row doubles as the hop target.
-    succ = np.minimum(np.searchsorted(ids, successors), last)
-    pred = np.minimum(np.searchsorted(ids, predecessors), last)
-    pointers = Pointers(
-        succ=succ,
-        succ_ok=(ids[succ] == successors) & (successors != ids),
-        pred=predecessors,
-        pred_ok=pred_valid & (ids[pred] == predecessors),
-    )
     entry_ids = np.asarray([entry.ident for entry in entries], dtype=np.uint64)
     routes = route_lockstep(
         ids,
@@ -433,7 +429,7 @@ def route_probes_batch(
         np.searchsorted(ids, entry_ids),
         [int(key) for key in keys],
         bits=network.space.bits,
-        pointers=pointers,
+        pointers=snap.pointers(),
         tail_cutoff=_BATCH_TAIL_CUTOFF,
     )
     batch_hops = int(routes.hops[~routes.unfinished].sum())

@@ -19,6 +19,7 @@ from repro.ring.faults import FaultPlane
 from repro.ring.identifier import IdentifierSpace
 from repro.ring.network import RingNetwork
 from repro.ring.node import PeerNode
+from repro.ring.snapshot import PointerWrites
 
 __all__ = [
     "clone_network",
@@ -126,9 +127,16 @@ def clone_network(network: RingNetwork) -> RingNetwork:
         snap._finger_valid = source_snapshot._finger_valid
         snap._adjacency = source_snapshot._adjacency
         snap._overlay_ids = source_snapshot._overlay_ids
+        # The aliased view is current, so the clone's own pointer writes
+        # start counting from here.
+        clone._pointer_writes = PointerWrites(clone.topology_version)
         if source_snapshot._scan_token == source_snapshot._overlay_token:
             snap._scan_token = snap._overlay_token
             snap._scan_matrix = source_snapshot._scan_matrix
+            snap._scan_widths = source_snapshot._scan_widths
+        if source_snapshot._pointers_token == source_snapshot._overlay_token:
+            snap._pointers_token = snap._overlay_token
+            snap._pointers = source_snapshot._pointers
     return clone
 
 

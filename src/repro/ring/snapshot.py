@@ -17,7 +17,8 @@ of the network:
 * ``sorted_values`` — the same multiset globally sorted (the ground truth
   dataset),
 * successor/predecessor arrays and the finger table as an ``(n, bits)``
-  integer matrix (lazy; keyed on the overlay token).
+  integer matrix (lazy; keyed on the overlay token), with the router's
+  compressed scan table and resolved pointers derived from them.
 
 The snapshot is keyed on ``(topology_version, data_version)`` and is
 **updated incrementally**: the network records which stores mutated
@@ -26,22 +27,27 @@ the previous snapshot, so a churn round that touched ``k`` peers costs
 O(k · chunk + n) instead of a full O(total · log total) rebuild.  Equal
 floats are indistinguishable, so the incrementally maintained
 ``sorted_values`` is byte-identical to a from-scratch sort — the snapshot
-is a pure view and never a second source of truth.
+is a pure view and never a second source of truth.  The overlay views are
+updated the same way from the network's pointer-write log
+(:class:`PointerWrites`): a refresh re-reads only the pointer entries that
+changed value since the last one.
 """
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 from numpy.typing import NDArray
 
-from repro.ring.lockstep import compress_scan
+from repro.ring.lockstep import Pointers, compress_scan
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (network imports us)
     from repro.ring.network import RingNetwork
+    from repro.ring.node import PeerNode
 
-__all__ = ["RingSnapshot"]
+__all__ = ["RingSnapshot", "PointerWrites"]
 
 _EMPTY_F = np.empty(0, dtype=float)
 _EMPTY_U = np.empty(0, dtype=np.uint64)
@@ -51,6 +57,32 @@ _EMPTY_I = np.empty(0, dtype=np.int64)
 # delete-and-merge stops paying off and one full sort of the packed pool
 # is cheaper (and trivially equal, since both produce the sorted multiset).
 _FULL_REBUILD_FRACTION = 0.5
+
+
+class PointerWrites:
+    """Overlay pointer writes since the overlay view's last refresh.
+
+    ``since`` is the :attr:`RingNetwork.topology_version` the log counts
+    from; ``joined`` the peers registered since (their rows are read
+    whole); ``relinked`` the peers whose successor or predecessor changed
+    value; ``fingers`` maps a peer to the bit mask of its finger columns
+    that changed value.  Every entry names a live peer: departures are
+    forgotten, and their rows leave the view with the membership diff.
+    """
+
+    __slots__ = ("since", "joined", "relinked", "fingers")
+
+    def __init__(self, since: int) -> None:
+        self.since = since
+        self.joined: set[int] = set()
+        self.relinked: set[int] = set()
+        self.fingers: dict[int, int] = {}
+
+    def forget(self, ident: int) -> None:
+        """Drop a departed peer's entries."""
+        self.joined.discard(ident)
+        self.relinked.discard(ident)
+        self.fingers.pop(ident, None)
 
 
 class RingSnapshot:
@@ -88,6 +120,11 @@ class RingSnapshot:
         # matrix (its own token: callers may never ask for it).
         self._scan_token: Optional[int] = None
         self._scan_matrix: NDArray[np.uint64] = _EMPTY_U.reshape(0, 0)
+        # Entries each scan row keeps (the table is as wide as the widest).
+        self._scan_widths: NDArray[np.int64] = _EMPTY_I
+        # Row-resolved neighbour pointers for the batch router.
+        self._pointers_token: Optional[int] = None
+        self._pointers: Optional[Pointers] = None
 
     # ------------------------------------------------------------------
     # Data-plane views
@@ -270,49 +307,142 @@ class RingSnapshot:
     # Overlay-plane views (lazy; keyed on topology_version)
     # ------------------------------------------------------------------
     def _ensure_overlay(self) -> None:
+        """Bring the overlay views up to the live topology version.
+
+        The network logs which pointer entries changed value since this
+        view's token (:class:`PointerWrites`), so a refresh re-reads only
+        those entries, recompresses only the scan rows whose fingers
+        changed, and carries everything else over by index.  The first
+        refresh, and the first after a writer that could not name its
+        writes, reads every row.  Every refresh binds new arrays and never
+        writes into the old ones: clones alias them.
+        """
         network = self._network
         token = network.topology_version
-        if self._overlay_token == token:
+        old_token = self._overlay_token
+        if old_token == token:
             return
-        nodes = network._nodes
         ids = network.sorted_ids_array()
-        n = ids.size
-        bits = network.space.bits
-        successor_list: list[int] = []
-        predecessors = np.zeros(n, dtype=np.uint64)
-        predecessor_valid = np.zeros(n, dtype=bool)
-        finger_flat: list[int] = []
-        # Rows containing a broken (None) finger are rare outside heavy
-        # churn, so the common row extends the flat list at C speed and the
-        # validity matrix starts all-True with per-row patches.
-        none_rows: list[tuple[int, list] ] = []
-        for index, ident in enumerate(ids.tolist()):
-            node = nodes[ident]
-            successor_list.append(node.successor_id)
-            pred = node.predecessor_id
-            if pred is not None:
-                predecessors[index] = pred
-                predecessor_valid[index] = True
-            row = node._fingers
-            if None in row:
-                none_rows.append((index, row))
-                finger_flat.extend((0 if f is None else f) for f in row)
-            else:
-                finger_flat.extend(row)
-        self._successors = np.asarray(successor_list, dtype=np.uint64)
-        self._predecessors = predecessors
-        self._predecessor_valid = predecessor_valid
-        self._finger_matrix = np.asarray(finger_flat, dtype=np.uint64).reshape(n, bits)
-        finger_valid = np.ones((n, bits), dtype=bool)
-        for index, row in none_rows:
-            finger_valid[index] = [f is not None for f in row]
-        self._finger_valid = finger_valid
+        writes = network._pointer_writes
+        if writes is None or writes.since != old_token or not self._overlay_ids.size:
+            self._read_overlay(ids)
+        else:
+            self._apply_overlay_writes(ids, writes)
         self._adjacency = None
         self._overlay_token = token
         # The overlay views diff membership through sorted_ids_array, so
         # they can serve callers that never touch the data plane; ids may
         # therefore be newer than self._ids until the next data refresh.
         self._overlay_ids = ids
+        network._pointer_writes = PointerWrites(token)
+
+    def _read_overlay(self, ids: NDArray[np.uint64]) -> None:
+        """Read every peer's pointers into fresh overlay arrays."""
+        network = self._network
+        nodes = network._nodes
+        (
+            self._successors,
+            self._predecessors,
+            self._predecessor_valid,
+            self._finger_matrix,
+            self._finger_valid,
+        ) = _read_pointer_rows([nodes[ident] for ident in ids.tolist()], network.space.bits)
+
+    def _apply_overlay_writes(self, ids: NDArray[np.uint64], writes: PointerWrites) -> None:
+        """Carry the previous overlay arrays over to ``ids``, re-reading ``writes``."""
+        network = self._network
+        nodes = network._nodes
+        # Row of every peer in the previous view; rows read whole (new
+        # peers among them) get a placeholder and are overwritten.
+        source = np.searchsorted(self._overlay_ids, ids)
+        np.minimum(source, self._overlay_ids.size - 1, out=source)
+        successors = self._successors[source]
+        predecessors = self._predecessors[source]
+        predecessor_valid = self._predecessor_valid[source]
+        finger_matrix = self._finger_matrix[source]
+        finger_valid = self._finger_valid[source]
+
+        # Single finger entries first, then whole rows, which hold the
+        # final values of every entry they cover.
+        entry_peers: list[int] = []
+        entry_columns: list[int] = []
+        entry_values: list[Optional[int]] = []
+        for ident, mask in writes.fingers.items():
+            node = nodes.get(ident)
+            if node is None:
+                continue  # written after it departed (a stale node object)
+            fingers = node._fingers
+            while mask:
+                k = mask.bit_length() - 1
+                mask ^= 1 << k
+                entry_peers.append(ident)
+                entry_columns.append(k)
+                entry_values.append(fingers[k])
+        entry_rows = _rows_of(ids, entry_peers)
+        columns = np.asarray(entry_columns, dtype=np.intp)
+        if None in entry_values:
+            finger_valid[entry_rows, columns] = [value is not None for value in entry_values]
+            entry_values = [0 if value is None else value for value in entry_values]
+        else:
+            finger_valid[entry_rows, columns] = True
+        finger_matrix[entry_rows, columns] = np.asarray(entry_values, dtype=np.uint64)
+
+        joined = list(writes.joined)
+        rows = _rows_of(ids, joined)
+        (
+            successors[rows],
+            predecessors[rows],
+            predecessor_valid[rows],
+            finger_matrix[rows],
+            finger_valid[rows],
+        ) = _read_pointer_rows([nodes[ident] for ident in joined], network.space.bits)
+
+        relinked = [ident for ident in writes.relinked if ident in nodes]
+        relinked_rows = _rows_of(ids, relinked)
+        (
+            successors[relinked_rows],
+            predecessors[relinked_rows],
+            predecessor_valid[relinked_rows],
+        ) = _read_neighbours([nodes[ident] for ident in relinked])
+
+        if self._scan_token == self._overlay_token:
+            changed = np.zeros(ids.size, dtype=bool)
+            changed[entry_rows] = True
+            changed[rows] = True
+            self._carry_scan(ids, source, np.flatnonzero(changed), finger_matrix, finger_valid)
+            self._scan_token = network.topology_version
+        self._successors = successors
+        self._predecessors = predecessors
+        self._predecessor_valid = predecessor_valid
+        self._finger_matrix = finger_matrix
+        self._finger_valid = finger_valid
+
+    def _carry_scan(
+        self,
+        ids: NDArray[np.uint64],
+        source: NDArray[np.intp],
+        rows: NDArray[np.intp],
+        finger_matrix: NDArray[np.uint64],
+        finger_valid: NDArray[np.bool_],
+    ) -> None:
+        """Recompress scan ``rows`` from the new finger matrix, carry the rest.
+
+        The table stays exactly what :func:`compress_scan` would build from
+        the whole matrix: as wide as its widest row, every row padded with
+        its own identifier.
+        """
+        part, part_widths = compress_scan(finger_matrix[rows], ids[rows], finger_valid[rows])
+        widths = self._scan_widths[source]
+        widths[rows] = part_widths
+        width = max(int(widths.max(initial=0)), 1)
+        scan = self._scan_matrix[source, :width]
+        if scan.shape[1] < width:
+            padding = np.repeat(ids[:, None], width - scan.shape[1], axis=1)
+            scan = np.concatenate((scan, padding), axis=1)
+        scan[rows] = ids[rows, None]
+        scan[rows, : part.shape[1]] = part
+        self._scan_matrix = scan
+        self._scan_widths = widths
 
     def successor_array(self) -> NDArray[np.uint64]:
         """Per-peer primary successor pointers in ring order (``uint64``)."""
@@ -339,11 +469,38 @@ class RingSnapshot:
         """
         self._ensure_overlay()
         if self._scan_token != self._overlay_token:
-            self._scan_matrix = compress_scan(
+            self._scan_matrix, self._scan_widths = compress_scan(
                 self._finger_matrix, self._overlay_ids, self._finger_valid
             )
             self._scan_token = self._overlay_token
         return self._scan_matrix
+
+    def pointers(self) -> Pointers:
+        """Neighbour pointers resolved to rows, as the batch router reads them.
+
+        A pointer is live iff it appears in the sorted live-id array
+        (departed peers are unregistered, so membership there is exactly
+        ``try_node(...) is not None``); its row doubles as the hop target.
+        Cached until the next overlay change.
+        """
+        self._ensure_overlay()
+        pointers = self._pointers
+        if pointers is None or self._pointers_token != self._overlay_token:
+            ids = self._overlay_ids
+            last = ids.size - 1
+            successors = self._successors
+            predecessors = self._predecessors
+            succ = np.minimum(np.searchsorted(ids, successors), last)
+            pred = np.minimum(np.searchsorted(ids, predecessors), last)
+            pointers = Pointers(
+                succ=succ,
+                succ_ok=(ids[succ] == successors) & (successors != ids),
+                pred=predecessors,
+                pred_ok=self._predecessor_valid & (ids[pred] == predecessors),
+            )
+            self._pointers = pointers
+            self._pointers_token = self._overlay_token
+        return pointers
 
     def adjacency(self) -> dict[int, list[int]]:
         """Symmetrized overlay graph (fingers ∪ ring links ∪ reverses).
@@ -393,3 +550,49 @@ class RingSnapshot:
             adjacency[ident] = edge_dst[boundaries[index] : boundaries[index + 1]]
         self._adjacency = adjacency
         return adjacency
+
+
+def _read_neighbours(
+    peers: list["PeerNode"],
+) -> tuple[NDArray[np.uint64], NDArray[np.uint64], NDArray[np.bool_]]:
+    """Successors, predecessors and predecessor validity of ``peers``."""
+    count = len(peers)
+    preds = [node.predecessor_id for node in peers]
+    return (
+        np.fromiter((node.successor_id for node in peers), dtype=np.uint64, count=count),
+        np.fromiter((0 if p is None else p for p in preds), dtype=np.uint64, count=count),
+        np.fromiter((p is not None for p in preds), dtype=bool, count=count),
+    )
+
+
+def _read_pointer_rows(
+    peers: list["PeerNode"], bits: int
+) -> tuple[
+    NDArray[np.uint64], NDArray[np.uint64], NDArray[np.bool_], NDArray[np.uint64], NDArray[np.bool_]
+]:
+    """Neighbour pointers and whole finger rows of ``peers``.
+
+    Returns :func:`_read_neighbours`'s arrays followed by the
+    ``(len(peers), bits)`` finger matrix and its validity mask.
+    """
+    count = len(peers)
+    rows = [node._fingers for node in peers]
+    try:
+        fingers = np.fromiter(chain.from_iterable(rows), dtype=np.uint64, count=count * bits)
+        finger_valid = np.ones(count * bits, dtype=bool)
+    except TypeError:
+        # A broken (None) finger somewhere, rare outside heavy churn: the
+        # conversion refuses it, so read every entry with its validity.
+        flat = list(chain.from_iterable(rows))
+        fingers = np.fromiter((0 if f is None else f for f in flat), dtype=np.uint64, count=count * bits)
+        finger_valid = np.fromiter((f is not None for f in flat), dtype=bool, count=count * bits)
+    return (
+        *_read_neighbours(peers),
+        fingers.reshape(count, bits),
+        finger_valid.reshape(count, bits),
+    )
+
+
+def _rows_of(ids: NDArray[np.uint64], idents: list[int]) -> NDArray[np.intp]:
+    """Row positions of live peers ``idents`` in the sorted ``ids``."""
+    return np.searchsorted(ids, np.asarray(idents, dtype=np.uint64))

@@ -21,5 +21,9 @@ class Network:
     def registry_edit(self, ident: int) -> None:
         del self._nodes[ident]
 
+    def assigned_finger(self, node) -> bool:
+        changed = node.set_finger(0, 5)  # the result is used, the write unbumped
+        return changed
+
     def note_overlay_change(self) -> None:
         self.topology_version += 1

@@ -58,6 +58,7 @@ class TestVersionBumpRule:
             "Network.conditional_bump",
             "Network.early_return",
             "Network.registry_edit",
+            "Network.assigned_finger",
         }
 
     def test_negative_fixture(self, rules):
